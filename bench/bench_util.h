@@ -1,8 +1,15 @@
 #ifndef ISHARE_BENCH_BENCH_UTIL_H_
 #define ISHARE_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +21,42 @@
 
 namespace ishare {
 
+namespace bench_flags {
+
+// Whole-string numeric parses: no leading blanks, no trailing characters,
+// no overflow; an unsigned value takes no sign.
+inline bool ParseU64(const char* s, uint64_t* out) {
+  if (*s < '0' || *s > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long v = std::strtoull(s, &end, 10);
+  if (errno != 0 || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+inline bool ParseInt(const char* s, int lo, int hi, int* out) {
+  if (*s != '-' && (*s < '0' || *s > '9')) return false;
+  errno = 0;
+  char* end = nullptr;
+  long long v = std::strtoll(s, &end, 10);
+  if (errno != 0 || *end != '\0' || v < lo || v > hi) return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+inline bool ParseDouble(const char* s, double* out) {
+  if (*s == '\0' || std::isspace(static_cast<unsigned char>(*s))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  double v = std::strtod(s, &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace bench_flags
+
 // Command-line knobs shared by every bench binary:
 //   --sf=<double>        TPC-H scale factor (default 0.01)
 //   --max_pace=<int>     J, the pace cap (default 50; paper uses 100)
@@ -22,6 +65,8 @@ namespace ishare {
 //                        any value keeps results byte-identical)
 //   --quick              shrink everything for a fast smoke run
 //   --json=<path>        also write the structured export (json_export.h)
+// A malformed value or an unknown flag is an error: Parse() prints it with
+// the flag list above and exits 2 before anything runs.
 struct BenchConfig {
   double sf = 0.01;
   int max_pace = 50;
@@ -30,29 +75,57 @@ struct BenchConfig {
   bool quick = false;
   std::string json_path;
 
-  static BenchConfig Parse(int argc, char** argv) {
+  // Upper bound on --threads: a typo must not spawn a pool of thousands.
+  static constexpr int kMaxThreads = 256;
+
+  // Parses argv[1..argc) into *out; on error returns false with the
+  // offending argument described in *err and *out unspecified.
+  static bool TryParse(int argc, char** argv, BenchConfig* out,
+                       std::string* err) {
     BenchConfig c;
     for (int i = 1; i < argc; ++i) {
       const char* a = argv[i];
+      bool ok = true;
       if (std::strncmp(a, "--sf=", 5) == 0) {
-        c.sf = std::atof(a + 5);
+        ok = bench_flags::ParseDouble(a + 5, &c.sf) && c.sf > 0;
       } else if (std::strncmp(a, "--max_pace=", 11) == 0) {
-        c.max_pace = std::atoi(a + 11);
+        ok = bench_flags::ParseInt(a + 11, 1, std::numeric_limits<int>::max(),
+                                   &c.max_pace);
       } else if (std::strncmp(a, "--seed=", 7) == 0) {
-        c.seed = std::strtoull(a + 7, nullptr, 10);
+        ok = bench_flags::ParseU64(a + 7, &c.seed);
       } else if (std::strncmp(a, "--threads=", 10) == 0) {
-        c.threads = std::max(1, std::atoi(a + 10));
+        ok = bench_flags::ParseInt(a + 10, 1, kMaxThreads, &c.threads);
       } else if (std::strcmp(a, "--quick") == 0) {
         c.quick = true;
       } else if (std::strncmp(a, "--json=", 7) == 0) {
         c.json_path = a + 7;
+        ok = !c.json_path.empty();
       } else {
-        std::fprintf(stderr, "unknown flag %s\n", a);
+        *err = std::string("unknown flag ") + a;
+        return false;
+      }
+      if (!ok) {
+        *err = std::string("malformed value in ") + a;
+        return false;
       }
     }
     if (c.quick) {
       c.sf = std::min(c.sf, 0.004);
       c.max_pace = std::min(c.max_pace, 16);
+    }
+    *out = c;
+    return true;
+  }
+
+  static BenchConfig Parse(int argc, char** argv) {
+    BenchConfig c;
+    std::string err;
+    if (!TryParse(argc, argv, &c, &err)) {
+      std::fprintf(stderr,
+                   "%s\nflags: --sf=<double> --max_pace=<int> --seed=<int> "
+                   "--threads=<1..%d> --quick --json=<path>\n",
+                   err.c_str(), kMaxThreads);
+      std::exit(2);
     }
     return c;
   }

@@ -33,13 +33,16 @@ case "$mode" in
     # run every shard's executor on a pool while the group merges their
     # outputs (shard_test), and the shared-arrangement property whose
     # 4-thread seeds advance one mutex-guarded arrangement from several
-    # subplans in the same wave (arrange_test). Running the whole serial
+    # subplans in the same wave (arrange_test), and the Value stress that
+    # copies and frees shared string blocks on several threads
+    # (value_test). Running the whole serial
     # suite under tsan would cost ~10x wall clock without exercising a
     # single cross-thread access.
     cmake --preset tsan
     cmake --build --preset tsan -j "$(nproc)" \
       --target sched_test flow_test storage_test chaos_test \
-      crash_recovery_test columnar_test churn_test shard_test arrange_test
+      crash_recovery_test columnar_test churn_test shard_test arrange_test \
+      value_test
     ./build-tsan/tests/sched_test
     ./build-tsan/tests/flow_test
     ./build-tsan/tests/storage_test
@@ -49,6 +52,7 @@ case "$mode" in
     ./build-tsan/tests/churn_test
     ./build-tsan/tests/shard_test
     ./build-tsan/tests/arrange_test --gtest_filter='ArrangeEquivalence.*'
+    ./build-tsan/tests/value_test --gtest_filter='ValueConcurrency.*'
     ;;
   bench)
     cmake --preset default

@@ -236,15 +236,13 @@ std::vector<double> ChurnRuntime::ConstraintVector() const {
 }
 
 Status ChurnRuntime::RebuildEngine(std::unique_ptr<SubplanGraph> graph) {
-  // Teardown before consumer reset: the destructors return every buffer
-  // and state component to the arbiter. Base buffers must then carry
-  // exactly the incoming executor's registrations, or a later recovery's
-  // RestoreOffsets would see a stale consumer count (DESIGN.md §13).
+  // Teardown first: the destructors return every buffer and state
+  // component to the arbiter and release the old executor's base-buffer
+  // registrations, so base buffers carry exactly the incoming executor's
+  // consumers and a later recovery's RestoreOffsets sees a matching count
+  // (DESIGN.md §13).
   exec_.reset();
   estimator_.reset();
-  for (const std::string& name : source_->TableNames()) {
-    source_->buffer(name)->ClearConsumers();
-  }
   graph_ = std::move(graph);
   estimator_ =
       std::make_unique<CostEstimator>(graph_.get(), catalog_, opts_.exec);

@@ -404,43 +404,43 @@ DeltaBatch HashJoinOp::ProcessInner(int child_idx, DeltaSpan in) {
 // full probe phase emits exactly the serial output.
 //
 // Build: keys are extracted serially (fixing group/bucket creation order
-// and all map structure mutation on the driver thread), then workers
-// update buckets partitioned by key hash — each key is owned by exactly
-// one worker, so per-key entry order matches the serial input-order walk.
-// Keys whose buckets empty out are erased in a serial post-pass; serial
-// execution erases them mid-batch, but map membership of empty buckets is
-// not observable (probes skip them, snapshots sort keys, byte accounting
-// sums integers).
+// and all map structure mutation on the calling thread) and each tuple's
+// index is appended to its key-hash partition's list; workers then walk
+// their own list, in input order, updating buckets — each key is owned by
+// exactly one worker, so per-key entry order matches the serial
+// input-order walk. Keys whose buckets empty out are erased in a serial
+// post-pass; serial execution erases them mid-batch, but map membership
+// of empty buckets is not observable (probes skip them, snapshots sort
+// keys, byte accounting sums integers).
 //
-// Probe: contiguous morsels with one output slot per tuple; slots are
-// concatenated in input order and per-morsel work partials folded in
-// morsel order, keeping both the emitted batch and the work meter
-// bit-identical to serial.
+// Probe: one contiguous input range per worker, each emitting into its
+// own batch; the batches are concatenated in range order and the per-range
+// work partials folded in the same order, keeping both the emitted batch
+// and the work meter bit-identical to serial.
 DeltaBatch HashJoinOp::ProcessInnerParallel(SideState* own, SideState* other,
                                             int64_t* own_entries,
                                             const std::vector<int>& own_keys,
                                             bool from_left, DeltaSpan in) {
   const size_t n = in.size();
   const int workers = pool_->num_threads();
+  const size_t uw = static_cast<size_t>(workers);
   std::vector<Row> keys(n);
-  std::vector<int> part(n);
+  std::vector<std::vector<size_t>> by_part(uw);
   std::vector<std::vector<Entry>*> bucket_of(n);
   for (size_t i = 0; i < n; ++i) {
     work_.in += 1;
     keys[i] = ExtractColumns(in[i].row, own_keys);
-    part[i] =
-        static_cast<int>(HashRow(keys[i]) % static_cast<size_t>(workers));
+    by_part[HashRow(keys[i]) % uw].push_back(i);
     // try_emplace pre-creates the bucket so workers never mutate map
     // structure; element addresses are stable across later insertions,
     // so the cached bucket pointers survive the rest of the pre-pass.
     bucket_of[i] = &own->try_emplace(keys[i]).first->second;
   }
 
-  std::vector<int64_t> entry_delta(static_cast<size_t>(workers), 0);
+  std::vector<int64_t> entry_delta(uw, 0);
   pool_->ParallelFor(workers, [&](int64_t p) {
     int64_t delta = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (part[i] != p) continue;
+    for (size_t i : by_part[static_cast<size_t>(p)]) {
       UpdateBucket(bucket_of[i], in[i], &delta);
     }
     entry_delta[static_cast<size_t>(p)] = delta;
@@ -455,28 +455,30 @@ DeltaBatch HashJoinOp::ProcessInnerParallel(SideState* own, SideState* other,
     if (it != own->end() && it->second.empty()) own->erase(it);
   }
 
-  std::vector<DeltaBatch> slots(n);
-  std::vector<OpWork> partial(static_cast<size_t>(workers));
+  std::vector<DeltaBatch> range_out(uw);
+  std::vector<OpWork> partial(uw);
   pool_->ParallelFor(workers, [&](int64_t w) {
-    const size_t lo = n * static_cast<size_t>(w) /
-                      static_cast<size_t>(workers);
-    const size_t hi = n * (static_cast<size_t>(w) + 1) /
-                      static_cast<size_t>(workers);
+    const size_t lo = n * static_cast<size_t>(w) / uw;
+    const size_t hi = n * (static_cast<size_t>(w) + 1) / uw;
     OpWork* pw = &partial[static_cast<size_t>(w)];
+    DeltaBatch* out = &range_out[static_cast<size_t>(w)];
     for (size_t i = lo; i < hi; ++i) {
       auto it = other->find(keys[i]);
       if (it == other->end()) continue;
       for (const Entry& e : it->second) {
         pw->state += 1;  // probe cost
-        EmitMatches(in[i], e, from_left, pw, &slots[i]);
+        EmitMatches(in[i], e, from_left, pw, out);
       }
     }
   });
   for (const OpWork& w : partial) work_ += w;
-  DeltaBatch out;
-  for (DeltaBatch& s : slots) {
-    out.insert(out.end(), std::make_move_iterator(s.begin()),
-               std::make_move_iterator(s.end()));
+  size_t total = 0;
+  for (const DeltaBatch& b : range_out) total += b.size();
+  DeltaBatch out = std::move(range_out[0]);
+  out.reserve(total);
+  for (size_t w = 1; w < uw; ++w) {
+    out.insert(out.end(), std::make_move_iterator(range_out[w].begin()),
+               std::make_move_iterator(range_out[w].end()));
   }
   return out;
 }

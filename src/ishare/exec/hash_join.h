@@ -52,9 +52,10 @@ class HashJoinOp : public PhysOp {
   // build is hash-partitioned by join key (each worker owns the keys
   // hashing to its partition, so bucket mutation is disjoint; map
   // structure mutation stays serial in pre/post passes), and the probe
-  // fans out over contiguous morsels with per-tuple output slots
-  // concatenated in input order. Bit-exact with serial because per-key
-  // update order and the emitted tuple order are both preserved.
+  // fans out over one contiguous input range per worker, each emitting
+  // into its own batch, concatenated in range order. Bit-exact with serial
+  // because per-key update order and the emitted tuple order are both
+  // preserved.
   // Semi/anti joins keep the serial path: their right-delta handling
   // re-emits stored left tuples across keys, which does not decompose by
   // input partition (out of scope here; see DESIGN.md §10).

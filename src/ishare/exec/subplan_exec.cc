@@ -35,10 +35,23 @@ SubplanExecutor::SubplanExecutor(
   }
 }
 
+// The leaf registrations die with the executor: a later executor on the
+// same source then neither finds its trimming pinned by dead offsets nor
+// a consumer count its checkpoints cannot be restored against. The input
+// buffers (source tables, the owning executor's subplan buffers) outlive
+// this object by construction.
 SubplanExecutor::~SubplanExecutor() {
+  ReleaseLeaves(root_);
   if (state_component_ >= 0 && opts_.flow.budget != nullptr) {
     opts_.flow.budget->Set(state_component_, 0);
   }
+}
+
+void SubplanExecutor::ReleaseLeaves(OpNode& n) {
+  if (n.input_buffer != nullptr && n.consumer_id >= 0) {
+    n.input_buffer->ReleaseConsumer(n.consumer_id);
+  }
+  for (OpNode& c : n.children) ReleaseLeaves(c);
 }
 
 SubplanExecutor::OpNode SubplanExecutor::BuildTree(const PlanNodePtr& node) {
@@ -336,20 +349,23 @@ Result<ExecRecord> SubplanExecutor::ExecuteOnce() {
   } else {
     ISHARE_ASSIGN_OR_RETURN(out, Pump(root_, &tuples_in, &path_rec));
   }
-  output_->AppendBatch(out);
+  // Read the batch before it is moved into the buffer.
+  const int64_t tuples_out = static_cast<int64_t>(out.size());
+  int64_t out_bytes = 0;
+  for (const DeltaTuple& t : out) out_bytes += ApproxDeltaBytes(t);
+  output_->AppendBatch(std::move(out));
   auto end = std::chrono::steady_clock::now();
 
   ++executions_;
   last_input_consumed_ = tuples_in;
-  last_output_bytes_ = 0;
-  for (const DeltaTuple& t : out) last_output_bytes_ += ApproxDeltaBytes(t);
+  last_output_bytes_ = out_bytes;
   PublishStateBytes();
   double total = TotalOpWork(root_);
   ExecRecord rec;
   rec.work = (total - last_total_work_) + opts_.startup_cost;
   rec.seconds = std::chrono::duration<double>(end - start).count();
   rec.tuples_in = tuples_in;
-  rec.tuples_out = static_cast<int64_t>(out.size());
+  rec.tuples_out = tuples_out;
   rec.columnar_batches = path_rec.columnar_batches;
   rec.columnar_tuples = path_rec.columnar_tuples;
   rec.row_batches = path_rec.row_batches;

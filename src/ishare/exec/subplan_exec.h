@@ -189,6 +189,7 @@ class SubplanExecutor {
   void CollectConsumed(const OpNode& n, int64_t* out) const;
   Status DiscardNode(OpNode& n, int64_t* dropped);
   void CollectLeafOffsets(const OpNode& n, std::vector<int64_t>* out) const;
+  static void ReleaseLeaves(OpNode& n);
   Status ApplyLeafOffsets(OpNode& n, const std::vector<int64_t>& offsets,
                           size_t* next);
   int64_t CollectStateBytes(const OpNode& n) const;

@@ -154,7 +154,7 @@ const ColumnVector* VectorExpr::EvalNode(const Node& n,
           scratch->f64().assign(un, n.literal.AsDouble());
           break;
         case DataType::kString:
-          scratch->str().assign(un, n.literal.AsString());
+          scratch->str().assign(un, n.literal.AsShared());
           break;
       }
       return scratch;
@@ -236,11 +236,13 @@ const ColumnVector* VectorExpr::EvalNode(const Node& n,
       std::vector<int64_t>& o = scratch->i64();
       o.resize(un);
       if (l->type() == DataType::kString) {
-        const std::vector<std::string>& a = l->str();
-        const std::vector<std::string>& b = r->str();
+        const std::vector<SharedString>& a = l->str();
+        const std::vector<SharedString>& b = r->str();
         for (int64_t i = 0; i < num_rows; ++i) {
           size_t k = static_cast<size_t>(i);
-          int c = a[k] < b[k] ? -1 : (b[k] < a[k] ? 1 : 0);
+          // Handles sharing one block are equal without a byte compare.
+          int c = a[k] == b[k] ? 0
+                               : (a[k].AsString() < b[k].AsString() ? -1 : 1);
           bool res = false;
           switch (n.compare_op) {
             case CompareOp::kEq: res = (c == 0); break;
@@ -370,12 +372,11 @@ const ColumnVector* VectorExpr::EvalNode(const Node& n,
           break;
         }
         case DataType::kString: {
-          const std::vector<std::string>& v = c->str();
+          const std::vector<SharedString>& v = c->str();
           for (int64_t i = 0; i < num_rows; ++i) {
+            const std::string& s = v[static_cast<size_t>(i)].AsString();
             bool hit = false;
-            for (const std::string& cand : n.in_strings) {
-              hit |= (v[static_cast<size_t>(i)] == cand);
-            }
+            for (const std::string& cand : n.in_strings) hit |= (s == cand);
             o[static_cast<size_t>(i)] = hit;
           }
           break;
@@ -386,13 +387,13 @@ const ColumnVector* VectorExpr::EvalNode(const Node& n,
     case ExprKind::kLike: {
       ColumnVector tc;
       const ColumnVector* c = EvalNode(n.children[0], cols, num_rows, &tc);
-      const std::vector<std::string>& v = c->str();
+      const std::vector<SharedString>& v = c->str();
       *scratch = ColumnVector(DataType::kInt64);
       std::vector<int64_t>& o = scratch->i64();
       o.resize(un);
       for (int64_t i = 0; i < num_rows; ++i) {
         o[static_cast<size_t>(i)] =
-            LikeMatch(v[static_cast<size_t>(i)], n.like_pattern);
+            LikeMatch(v[static_cast<size_t>(i)].AsString(), n.like_pattern);
       }
       return scratch;
     }

@@ -4,14 +4,17 @@
 // `--json=<path>` so reproduction runs are machine-checkable instead of
 // text-table-scrape-only.
 //
-// Schema (version 5, stable key order — see the golden file under
+// Schema (version 9, stable key order — see the golden file under
 // tests/golden/; v2 added the "recovery" block, DESIGN.md §8; v3 added
 // the "flow" overload-control block, DESIGN.md §9; v4 added
 // config.threads and the "sched" block, DESIGN.md §10; v5 added the
 // "chaos" supervision block and the recovery block's checkpoint-health
-// keys, DESIGN.md §11):
+// keys, DESIGN.md §11; v6 added the "exec" row/columnar path block,
+// DESIGN.md §12; v7 the "churn" block, DESIGN.md §13; v8 the "shard"
+// block, DESIGN.md §14; v9 the "arrange" block and
+// flow.state_bytes_per_query, DESIGN.md §15):
 //   {
-//     "schema_version": 5,
+//     "schema_version": 9,
 //     "generator": "ishare",
 //     "bench": "<binary name>",
 //     "config": {"sf": ..., "max_pace": ..., "seed": ..., "threads": ...,
@@ -26,14 +29,32 @@
 //     "flow": {"budget_bytes": ..., "used_bytes": ..., "peak_bytes": ...,
 //              "trims": ..., "trimmed_tuples": ...,
 //              "shed_deferred_execs": ..., "shed_dropped_tuples": ...,
-//              "backpressure_events": ...},
+//              "backpressure_events": ..., "state_bytes_per_query": ...},
 //     "sched": {"pool_tasks": ..., "pool_steals": ...,
 //               "parallel_fors": ..., "step_waves": ...},
+//     "exec": {"columnar_batches": ..., "columnar_tuples": ...,
+//              "row_batches": ..., "row_tuples": ...},
 //     "chaos": {"service_level": ..., "ladder_transitions": ...,
 //               "breaker_trips": ..., "breaker_half_opens": ...,
 //               "breaker_closes": ..., "faults_injected": ...,
 //               "checkpoints_skipped": ..., "checkpoints_stretched": ...,
 //               "defer_signals": ..., "safe_stops": ...},
+//     "churn": {"registrations": ..., "deregistrations": ...,
+//               "deferrals": ..., "unshared_fallbacks": ..., "epochs": ...,
+//               "subplans_carried": ..., "subplans_rebuilt": ...,
+//               "reclaimed_bytes": ..., "quiesce_work": ...},
+//     "shard": {"rounds": ..., "merged_tuples": ...,
+//               "exchange_delivered_tuples": ...,
+//               "exchange_drained_tuples": ...,
+//               "exchange_backpressure_events": ...,
+//               "straggler_observations": ..., "straggler_lag_steps": ...,
+//               "straggler_absorbed": ..., "straggler_escalations": ...,
+//               "breaker_trips": ..., "recoveries": ..., "restarts": ...,
+//               "recovery_epochs": ...},
+//     "arrange": {"count": ..., "state_bytes": ..., "chain_max_len": ...,
+//                 "apply_tuples": ..., "apply_dedup_skipped": ...,
+//                 "reader_attaches": ..., "reader_detaches": ...,
+//                 "compact_runs": ..., "compact_folded": ...},
 //     "metrics": {"counters": {...}, "gauges": {...},
 //                 "histograms": {name: {count, dropped, sum,
 //                                       p50, p95, p99,

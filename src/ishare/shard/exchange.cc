@@ -393,7 +393,7 @@ Status ExchangeShardSource::DoAdvance(double fraction,
         << "shard " << shard_ << " base log of '" << name
         << "' out of sync with the fabric (" << buf->size() << " vs "
         << have << ")";
-    buf->AppendBatch(batch);
+    buf->AppendBatch(std::move(batch));
   }
   return Status::OK();
 }

@@ -1,8 +1,10 @@
 #ifndef ISHARE_STORAGE_DELTA_BUFFER_H_
 #define ISHARE_STORAGE_DELTA_BUFFER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,24 +103,55 @@ class DeltaBuffer {
     PublishSize();
     PublishBytes();
   }
-  void AppendBatch(const DeltaBatch& batch) {
+  // Moves the tuples in (no row is copied); `batch` is left empty.
+  void AppendBatch(DeltaBatch&& batch) {
     for (const DeltaTuple& t : batch) retained_bytes_ += ApproxDeltaBytes(t);
-    log_.insert(log_.end(), batch.begin(), batch.end());
+    if (log_.empty()) {
+      log_ = std::move(batch);
+    } else {
+      // A range insert grows the log geometrically; reserving the exact
+      // sum on every append would reallocate it on every append.
+      log_.insert(log_.end(), std::make_move_iterator(batch.begin()),
+                  std::make_move_iterator(batch.end()));
+    }
+    batch.clear();
     PublishSize();
     PublishBytes();
   }
 
-  // Registers a new consumer starting at offset 0; returns its id.
+  // Registers a new consumer starting at offset 0; returns its id. A new id
+  // is always above every live one (only released trailing ids are handed
+  // out again), so the live ids' order is their registration order.
   int RegisterConsumer() {
     offsets_.push_back(0);
     return static_cast<int>(offsets_.size()) - 1;
   }
-  int num_consumers() const { return static_cast<int>(offsets_.size()); }
+  // Live (registered and not released) consumers.
+  int num_consumers() const {
+    return static_cast<int>(std::count_if(
+        offsets_.begin(), offsets_.end(),
+        [](int64_t off) { return off != kReleased; }));
+  }
 
-  // Drops every consumer registration (offsets, not data). Used at a churn
-  // epoch switch: the new executor re-registers its own consumers, and the
-  // buffer must carry exactly the live executor's registrations so that a
-  // later RestoreOffsets() sees a matching count (DESIGN.md §13).
+  // Ends one registration: the consumer's owner is going away. A released
+  // consumer no longer holds back TrimConsumed() and is left out of
+  // SnapshotOffsets(), so the registrations of executors that no longer
+  // exist neither pin the log nor make a fresh executor's checkpoint
+  // unrestorable. SubplanExecutor releases its leaves on destruction.
+  void ReleaseConsumer(int consumer) {
+    CHECK(CheckConsumerId(consumer).ok())
+        << "releasing unknown consumer " << consumer << " on buffer '"
+        << name_ << "'";
+    offsets_[static_cast<size_t>(consumer)] = kReleased;
+    while (!offsets_.empty() && offsets_.back() == kReleased) {
+      offsets_.pop_back();
+    }
+  }
+
+  // Drops every consumer registration (offsets, not data). Executors
+  // release their own registrations when destroyed (ReleaseConsumer), so
+  // this is only for a caller that discards registrations wholesale, and
+  // only while no executor holding one of them is alive.
   void ClearConsumers() { offsets_.clear(); }
 
   // Repositions one consumer; the offset must lie in the retained range.
@@ -206,9 +239,14 @@ class DeltaBuffer {
   // out-of-band by MaterializeResult). Returns the number of tuples
   // reclaimed.
   int64_t TrimConsumed() {
-    if (offsets_.empty() || log_.empty()) return 0;
-    int64_t min_off = offsets_[0];
-    for (int64_t off : offsets_) min_off = std::min(min_off, off);
+    if (log_.empty()) return 0;
+    int64_t min_off = kReleased;
+    for (int64_t off : offsets_) {
+      if (off != kReleased && (min_off == kReleased || off < min_off)) {
+        min_off = off;
+      }
+    }
+    if (min_off == kReleased) return 0;  // no live consumer
     int64_t n = min_off - base_offset_;
     if (n <= 0) return 0;
     for (int64_t i = 0; i < n; ++i) {
@@ -268,7 +306,9 @@ class DeltaBuffer {
     base_offset_ = 0;
     retained_bytes_ = 0;
     backpressured_ = false;
-    std::fill(offsets_.begin(), offsets_.end(), 0);
+    for (int64_t& off : offsets_) {
+      if (off != kReleased) off = 0;
+    }
     ClearFault();
     PublishSize();
     PublishBytes();
@@ -347,21 +387,27 @@ class DeltaBuffer {
   // Offsets only. Used for base-relation buffers whose log is regenerated
   // deterministically by replaying the StreamSource to the checkpointed
   // fraction; persisting just the read positions keeps checkpoints small.
+  // Only live consumers are written, in id (= registration) order, so a
+  // fresh executor that registers the same leaves restores them in place.
   void SnapshotOffsets(recovery::CheckpointWriter* w) const {
-    w->U64(offsets_.size());
-    for (int64_t off : offsets_) w->I64(off);
+    w->U64(static_cast<uint64_t>(num_consumers()));
+    for (int64_t off : offsets_) {
+      if (off != kReleased) w->I64(off);
+    }
   }
 
   Status RestoreOffsets(recovery::CheckpointReader* r) {
     uint64_t n = r->U64();
     if (!r->ok()) return r->status();
-    if (n != offsets_.size()) {
+    const uint64_t live = static_cast<uint64_t>(num_consumers());
+    if (n != live) {
       r->Fail("checkpoint has " + std::to_string(n) +
               " consumer offsets but buffer '" + name_ + "' registered " +
-              std::to_string(offsets_.size()));
+              std::to_string(live));
       return r->status();
     }
     for (size_t i = 0; i < offsets_.size(); ++i) {
+      if (offsets_[i] == kReleased) continue;
       int64_t off = r->I64();
       // Offsets are logical: the valid range starts at the trim point, not
       // zero, because tuples below it no longer exist to be re-read.
@@ -378,7 +424,8 @@ class DeltaBuffer {
 
  private:
   Status CheckConsumerId(int consumer) const {
-    if (consumer < 0 || consumer >= num_consumers()) {
+    if (consumer < 0 || consumer >= static_cast<int>(offsets_.size()) ||
+        offsets_[static_cast<size_t>(consumer)] == kReleased) {
       return Status::InvalidArgument(
           "unknown consumer id " + std::to_string(consumer) + " on buffer '" +
           name_ + "' (" + std::to_string(num_consumers()) + " registered)");
@@ -425,6 +472,9 @@ class DeltaBuffer {
 
   Schema schema_;
   std::string name_;
+  // Offset slot of a released consumer (real offsets are never negative).
+  static constexpr int64_t kReleased = -1;
+
   std::vector<DeltaTuple> log_;
   std::vector<int64_t> offsets_;
   // Published copy of base_offset_ + log_.size(); the only field a

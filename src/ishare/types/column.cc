@@ -11,7 +11,7 @@ void ColumnVector::AppendValue(const Value& v) {
       f64_.push_back(v.AsDouble());
       return;
     case DataType::kString:
-      str_.push_back(v.AsString());
+      str_.push_back(v.AsShared());
       return;
   }
 }
@@ -53,8 +53,9 @@ int64_t ColumnVector::ApproxBytes() const {
     case DataType::kFloat64:
       return bytes + static_cast<int64_t>(f64_.size() * sizeof(double));
     case DataType::kString: {
-      for (const std::string& s : str_) {
-        bytes += static_cast<int64_t>(sizeof(std::string) + s.size());
+      for (const SharedString& s : str_) {
+        bytes += static_cast<int64_t>(sizeof(SharedString) +
+                                      s.AsString().size());
       }
       return bytes;
     }

@@ -10,7 +10,6 @@
 #define ISHARE_TYPES_COLUMN_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "ishare/types/value.h"
@@ -94,11 +93,13 @@ class ColumnVector {
     DCHECK(type_ == DataType::kFloat64);
     return f64_;
   }
-  std::vector<std::string>& str() {
+  // String slots are shared handles: lifting a string Value into a column
+  // and lowering it back bumps a reference count, never copies characters.
+  std::vector<SharedString>& str() {
     DCHECK(type_ == DataType::kString);
     return str_;
   }
-  const std::vector<std::string>& str() const {
+  const std::vector<SharedString>& str() const {
     DCHECK(type_ == DataType::kString);
     return str_;
   }
@@ -113,14 +114,15 @@ class ColumnVector {
   void AppendFrom(const ColumnVector& other, int64_t i);
 
   // Deterministic approximate footprint in the same accounting units as
-  // ApproxValueBytes (logical sizes, never capacity).
+  // ApproxValueBytes (logical sizes, never capacity): each slot is charged
+  // its width, and each string slot additionally its length.
   int64_t ApproxBytes() const;
 
  private:
   DataType type_;
   std::vector<int64_t> i64_;
   std::vector<double> f64_;
-  std::vector<std::string> str_;
+  std::vector<SharedString> str_;
 };
 
 }  // namespace ishare

@@ -1,9 +1,10 @@
 #ifndef ISHARE_TYPES_VALUE_H_
 #define ISHARE_TYPES_VALUE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
-#include <variant>
+#include <utility>
 #include <vector>
 
 #include "ishare/common/check.h"
@@ -22,42 +23,136 @@ enum class DataType {
 
 const char* DataTypeName(DataType t);
 
-// A dynamically-typed scalar value flowing through the engine.
-class Value {
+// An immutable string shared by reference. Every copy points at one
+// heap block holding an atomic reference count and the const std::string
+// (whose characters a long string keeps in its own buffer); the last copy
+// to go frees it. Copying therefore costs one atomic increment
+// instead of a string allocation, which is what keeps a string that flows
+// scan -> filter -> join state -> buffer stored once (DESIGN.md §9).
+// There is deliberately no global intern pool: it would never free a
+// block and would serialize every new string on a lock. Two equal strings
+// built independently stay two blocks. The empty string needs no block.
+class SharedString {
  public:
-  Value() : v_(int64_t{0}) {}
-  explicit Value(int64_t v) : v_(v) {}
-  explicit Value(double v) : v_(v) {}
-  explicit Value(std::string v) : v_(std::move(v)) {}
-  explicit Value(const char* v) : v_(std::string(v)) {}
+  SharedString() = default;
+  explicit SharedString(std::string s)
+      : rep_(s.empty() ? nullptr : new Rep(std::move(s))) {}
+  SharedString(const SharedString& o) noexcept : rep_(o.rep_) { Ref(rep_); }
+  SharedString(SharedString&& o) noexcept
+      : rep_(std::exchange(o.rep_, nullptr)) {}
+  SharedString& operator=(const SharedString& o) noexcept {
+    Ref(o.rep_);  // before Unref: safe under self-assignment
+    Unref(rep_);
+    rep_ = o.rep_;
+    return *this;
+  }
+  SharedString& operator=(SharedString&& o) noexcept {
+    if (this != &o) {
+      Unref(rep_);
+      rep_ = std::exchange(o.rep_, nullptr);
+    }
+    return *this;
+  }
+  ~SharedString() { Unref(rep_); }
 
-  DataType type() const {
-    switch (v_.index()) {
-      case 0:
-        return DataType::kInt64;
-      case 1:
-        return DataType::kFloat64;
-      default:
-        return DataType::kString;
+  const std::string& AsString() const {
+    return rep_ != nullptr ? rep_->str : Empty();
+  }
+
+  // Handles sharing one block are equal without looking at the bytes.
+  friend bool operator==(const SharedString& a, const SharedString& b) {
+    return a.rep_ == b.rep_ || a.AsString() == b.AsString();
+  }
+
+ private:
+  friend class Value;
+
+  struct Rep {
+    explicit Rep(std::string s) : str(std::move(s)) {}
+    mutable std::atomic<int64_t> refs{1};
+    const std::string str;
+  };
+
+  static const std::string& Empty() {
+    static const std::string empty;
+    return empty;
+  }
+  static void Ref(const Rep* r) {
+    if (r != nullptr) r->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  // acq_rel: the freeing thread must see every other owner's reads done.
+  static void Unref(const Rep* r) {
+    if (r != nullptr && r->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete r;
     }
   }
 
-  bool is_int() const { return v_.index() == 0; }
-  bool is_double() const { return v_.index() == 1; }
-  bool is_string() const { return v_.index() == 2; }
+  const Rep* rep_ = nullptr;
+};
+
+// A dynamically-typed scalar value flowing through the engine: a 16-byte
+// tagged scalar. Ints and doubles are stored inline; a string is a
+// SharedString block pointer, so copying a Value never copies characters.
+// Moving leaves the source as int 0.
+class Value {
+ public:
+  Value() { p_.i = 0; }
+  explicit Value(int64_t v) { p_.i = v; }
+  explicit Value(double v) : type_(DataType::kFloat64) { p_.d = v; }
+  explicit Value(std::string v) : Value(SharedString(std::move(v))) {}
+  explicit Value(const char* v) : Value(std::string(v)) {}
+  explicit Value(SharedString s) : type_(DataType::kString) {
+    p_.s = std::exchange(s.rep_, nullptr);
+  }
+
+  Value(const Value& o) noexcept : p_(o.p_), type_(o.type_) {
+    if (is_string()) SharedString::Ref(p_.s);
+  }
+  Value(Value&& o) noexcept : p_(o.p_), type_(o.type_) { o.SetZero(); }
+  Value& operator=(const Value& o) noexcept {
+    if (o.is_string()) SharedString::Ref(o.p_.s);  // self-assignment safe
+    Release();
+    p_ = o.p_;
+    type_ = o.type_;
+    return *this;
+  }
+  Value& operator=(Value&& o) noexcept {
+    if (this != &o) {
+      Release();
+      p_ = o.p_;
+      type_ = o.type_;
+      o.SetZero();
+    }
+    return *this;
+  }
+  ~Value() { Release(); }
+
+  DataType type() const { return type_; }
+
+  bool is_int() const { return type_ == DataType::kInt64; }
+  bool is_double() const { return type_ == DataType::kFloat64; }
+  bool is_string() const { return type_ == DataType::kString; }
 
   int64_t AsInt() const {
     CHECK(is_int()) << "value is " << DataTypeName(type());
-    return std::get<int64_t>(v_);
+    return p_.i;
   }
   double AsDouble() const {
-    if (is_int()) return static_cast<double>(std::get<int64_t>(v_));
+    if (is_int()) return static_cast<double>(p_.i);
     CHECK(is_double()) << "value is " << DataTypeName(type());
-    return std::get<double>(v_);
+    return p_.d;
   }
   const std::string& AsString() const {
     CHECK(is_string()) << "value is " << DataTypeName(type());
-    return std::get<std::string>(v_);
+    return p_.s != nullptr ? p_.s->str : SharedString::Empty();
+  }
+  // Another reference to this string's block (no character copy).
+  SharedString AsShared() const {
+    CHECK(is_string()) << "value is " << DataTypeName(type());
+    SharedString::Ref(p_.s);
+    SharedString out;
+    out.rep_ = p_.s;
+    return out;
   }
 
   // Numeric comparison coerces int/double; strings compare lexically.
@@ -65,32 +160,40 @@ class Value {
   int Compare(const Value& other) const;
 
   uint64_t Hash() const {
-    switch (v_.index()) {
-      case 0:
-        return Mix64(static_cast<uint64_t>(std::get<int64_t>(v_)));
-      case 1: {
-        double d = std::get<double>(v_);
+    switch (type_) {
+      case DataType::kInt64:
+        return Mix64(static_cast<uint64_t>(p_.i));
+      case DataType::kFloat64: {
         uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(d));
-        __builtin_memcpy(&bits, &d, sizeof(bits));
+        static_assert(sizeof(bits) == sizeof(p_.d));
+        __builtin_memcpy(&bits, &p_.d, sizeof(bits));
         return Mix64(bits);
       }
-      default:
-        return HashString(std::get<std::string>(v_));
+      case DataType::kString:
+        return HashString(AsString());
     }
+    return 0;
   }
 
   std::string ToString() const;
 
   friend bool operator==(const Value& a, const Value& b) {
-    if (a.v_.index() != b.v_.index()) {
+    if (a.type_ != b.type_) {
       // Allow int/double cross-type numeric equality.
       if (!a.is_string() && !b.is_string()) {
         return a.AsDouble() == b.AsDouble();
       }
       return false;
     }
-    return a.v_ == b.v_;
+    switch (a.type_) {
+      case DataType::kInt64:
+        return a.p_.i == b.p_.i;
+      case DataType::kFloat64:
+        return a.p_.d == b.p_.d;
+      case DataType::kString:
+        return a.p_.s == b.p_.s || a.AsString() == b.AsString();
+    }
+    return false;
   }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
   friend bool operator<(const Value& a, const Value& b) {
@@ -98,8 +201,25 @@ class Value {
   }
 
  private:
-  std::variant<int64_t, double, std::string> v_;
+  union Payload {
+    int64_t i;
+    double d;
+    const SharedString::Rep* s;
+  };
+
+  void Release() {
+    if (is_string()) SharedString::Unref(p_.s);
+  }
+  void SetZero() {
+    p_.i = 0;
+    type_ = DataType::kInt64;
+  }
+
+  Payload p_;
+  DataType type_ = DataType::kInt64;
 };
+
+static_assert(sizeof(Value) == 16, "Value must stay a 16-byte scalar");
 
 // A tuple payload: one Value per column of the producing operator's schema.
 using Row = std::vector<Value>;
@@ -117,8 +237,12 @@ Row ExtractColumns(const Row& row, const std::vector<int>& cols);
 // flow-control layer for memory accounting (DESIGN.md §9). Uses logical
 // sizes (string length, element count), never container capacity, so two
 // runs that hold the same data report the same bytes regardless of
-// allocator growth history. Small strings are still charged their length:
-// the estimate is a stable accounting unit, not an allocator model.
+// allocator growth history. The unit is the 16-byte Value slot plus the
+// string length for every reference: a string shared by many rows is
+// charged once per row that holds it, so the figure tracks how much data
+// the holder references, not the allocator's view of the shared blocks.
+// Small strings are still charged their length: the estimate is a stable
+// accounting unit, not an allocator model.
 inline int64_t ApproxValueBytes(const Value& v) {
   int64_t bytes = static_cast<int64_t>(sizeof(Value));
   if (v.is_string()) bytes += static_cast<int64_t>(v.AsString().size());

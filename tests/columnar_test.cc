@@ -133,7 +133,7 @@ TEST(ColumnVectorTest, TypedRoundTripAllThreeTypes) {
   ColumnVector cs(DataType::kString);
   cs.AppendValue(Value("ASIA"));
   cs.AppendValue(Value(""));
-  EXPECT_EQ(cs.str()[0], "ASIA");
+  EXPECT_EQ(cs.str()[0].AsString(), "ASIA");
   EXPECT_TRUE(BitExactValue(cs.GetValue(1), Value("")));
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ishare/churn/churn_runtime.h"
@@ -530,6 +531,102 @@ TEST(CrashRecoveryChurn, CrashMidChurnRestoreContinuesBitExact) {
     ASSERT_TRUE(rb.ok());
     EXPECT_TRUE(ResultsNear(*ra, *rb)) << "query " << q;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Consumer registrations end with their executor
+// ---------------------------------------------------------------------------
+
+// Two executors run one after the other on one source, as the harness's
+// Experiment runs its batch baselines and then the measured plan. The
+// first executor's leaf registrations must end with it: left behind, their
+// zero offsets pin every base-buffer prefix (nothing trims) and the second
+// executor's checkpoint carries a consumer count that a fresh executor on
+// the same source cannot match.
+TEST(ConsumerLifetime, SequentialExecutorsOnOneSourceTrimAndRestore) {
+  TestDb db(200, 20);
+  SubplanGraph g = SubplanGraph::Build(MakeSharedDag(db.catalog));
+  const PaceConfig paces(g.num_subplans(), 4);
+  DeltaBuffer* orders = db.source.buffer("orders");
+  {
+    PaceExecutor first(&g, &db.source);
+    ASSERT_TRUE(first.Run(paces).ok());
+    EXPECT_GT(orders->num_consumers(), 0);
+  }
+  EXPECT_EQ(orders->num_consumers(), 0);
+
+  db.source.Reset();
+  std::string blob;
+  std::string fingerprint;
+  std::vector<std::unordered_map<Row, int64_t, RowHasher>> results;
+  {
+    PaceExecutor second(&g, &db.source);
+    second.set_after_step_hook([&](int64_t step) {
+      if (step != 2) return Status::OK();
+      recovery::CheckpointWriter w;
+      ISHARE_RETURN_NOT_OK(second.Snapshot(&w));
+      blob = w.Take();
+      return Status::OK();
+    });
+    ASSERT_TRUE(second.Run(paces).ok());
+    EXPECT_GT(orders->trimmed(), 0) << "dead registrations pinned the log";
+    fingerprint = second.StateFingerprint();
+    for (QueryId q : {0, 1}) {
+      results.push_back(MaterializeResult(*second.query_output(q), q));
+    }
+  }
+  ASSERT_FALSE(blob.empty());
+
+  db.source.Reset();
+  PaceExecutor fresh(&g, &db.source);
+  recovery::CheckpointReader r(blob);
+  Status restored = fresh.Restore(&r);
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  ASSERT_TRUE(fresh.ResumeWindow().ok());
+  EXPECT_EQ(fresh.StateFingerprint(), fingerprint);
+  for (QueryId q : {0, 1}) {
+    EXPECT_EQ(MaterializeResult(*fresh.query_output(q), q),
+              results[static_cast<size_t>(q)]);
+  }
+}
+
+TEST(ConsumerLifetime, ReleasedConsumersLeaveTrimAndSnapshotToLiveOnes) {
+  DeltaBuffer buf(Schema({{"x", DataType::kInt64}}), "b");
+  const int a = buf.RegisterConsumer();
+  const int b = buf.RegisterConsumer();
+  const int c = buf.RegisterConsumer();
+  for (int64_t i = 0; i < 6; ++i) {
+    buf.Append({{Value(i)}, QuerySet::Single(0), 1});
+  }
+  ASSERT_TRUE(buf.ConsumeUpTo(a, 4).ok());
+  ASSERT_TRUE(buf.ConsumeUpTo(c, 2).ok());
+  EXPECT_EQ(buf.TrimConsumed(), 0);  // b still at 0
+  buf.ReleaseConsumer(b);
+  EXPECT_EQ(buf.num_consumers(), 2);
+  EXPECT_FALSE(buf.Pending(b).ok());
+  EXPECT_EQ(buf.TrimConsumed(), 2);  // now bounded by c
+
+  recovery::CheckpointWriter w;
+  buf.SnapshotOffsets(&w);
+  std::string blob = w.Take();
+  DeltaBuffer other(Schema({{"x", DataType::kInt64}}), "b");
+  for (int64_t i = 0; i < 6; ++i) {
+    other.Append({{Value(i)}, QuerySet::Single(0), 1});
+  }
+  other.RegisterConsumer();
+  other.RegisterConsumer();
+  recovery::CheckpointReader r(blob);
+  ASSERT_TRUE(other.RestoreOffsets(&r).ok());
+  EXPECT_EQ(*other.ConsumerOffset(0), 4);
+  EXPECT_EQ(*other.ConsumerOffset(1), 2);
+
+  // Releasing the trailing ids shrinks the registration list; a buffer
+  // whose consumers all left never trims.
+  buf.ReleaseConsumer(c);
+  buf.ReleaseConsumer(a);
+  EXPECT_EQ(buf.num_consumers(), 0);
+  EXPECT_EQ(buf.TrimConsumed(), 0);
+  EXPECT_EQ(buf.RegisterConsumer(), 0);
 }
 
 }  // namespace
